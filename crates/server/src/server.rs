@@ -218,16 +218,23 @@ impl Drop for ConnGuard {
 
 /// Best-effort single error line to a connection being turned away.
 fn shed(mut stream: TcpStream, err: &ServerError) {
-    let _ = write_line(&mut stream, &error_line(err));
+    let _ = write_line(&mut stream, error_line(err));
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
+/// Send one response line in a single write. Writing the body and its
+/// newline separately would leave a one-byte tail segment for Nagle's
+/// algorithm to hold until the peer's delayed ACK (tens of milliseconds
+/// per request on a request/response connection).
+fn write_line(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
     stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
     stream.flush()
 }
 
 fn handle_connection(stream: TcpStream, service: &QueryService, limits: &ConnLimits) {
+    // Responses are whole lines written at once; there is nothing for
+    // Nagle's algorithm to coalesce, only latency for it to add.
+    let _ = stream.set_nodelay(true);
     if let Some(t) = limits.read_timeout {
         // A socket we cannot arm the timeout on would dodge the idle
         // governor; shed it instead of serving it untimed.
@@ -264,7 +271,7 @@ fn serve(stream: TcpStream, service: &QueryService, limits: &ConnLimits) -> Vec<
             Frame::TooLarge => {
                 let _ = write_line(
                     &mut writer,
-                    &error_line(&ServerError::FrameTooLarge {
+                    error_line(&ServerError::FrameTooLarge {
                         limit: limits.max_frame_bytes,
                     }),
                 );
@@ -273,12 +280,12 @@ fn serve(stream: TcpStream, service: &QueryService, limits: &ConnLimits) -> Vec<
             Frame::NotUtf8 => {
                 let _ = write_line(
                     &mut writer,
-                    &error_line(&ServerError::BadRequest("request line is not UTF-8".into())),
+                    error_line(&ServerError::BadRequest("request line is not UTF-8".into())),
                 );
                 break;
             }
             Frame::TimedOut => {
-                let _ = write_line(&mut writer, &error_line(&ServerError::IdleTimeout));
+                let _ = write_line(&mut writer, error_line(&ServerError::IdleTimeout));
                 break;
             }
             Frame::Eof | Frame::Io(_) => break,
@@ -313,7 +320,7 @@ fn serve(stream: TcpStream, service: &QueryService, limits: &ConnLimits) -> Vec<
         if service.fault_server_write() {
             break;
         }
-        if write_line(&mut writer, &response).is_err() {
+        if write_line(&mut writer, response).is_err() {
             break;
         }
     }

@@ -39,9 +39,12 @@ impl Client {
         Client { writer, reader }
     }
 
+    /// One request line in one write, from a socket left with Nagle's
+    /// algorithm on (the default a client library gets).
     fn send(&mut self, line: &str) -> String {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
         self.writer.flush().unwrap();
         let mut resp = String::new();
         self.reader.read_line(&mut resp).unwrap();
@@ -106,6 +109,27 @@ fn prepared_statement_lifecycle_over_tcp() {
     assert!(c
         .send(&format!(r#"{{"op":"close","session":{sid}}}"#))
         .contains("\"ok\":true"));
+}
+
+#[test]
+fn sequential_pings_are_not_held_by_nagle() {
+    // Each response must leave the server as one segment on a no-delay
+    // socket. A response written as body + newline in two writes leaves a
+    // one-byte tail for Nagle's algorithm to hold until the client's
+    // delayed ACK, which costs about 40 ms per request: 50 pings would then
+    // take about 2 s.
+    let (server, _svc) = boot(10);
+    let mut c = Client::connect(server.local_addr());
+    assert!(c.send(r#"{"op":"ping"}"#).contains("\"ok\":true"));
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        assert!(c.send(r#"{"op":"ping"}"#).contains("\"ok\":true"));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 sequential pings took {elapsed:?}"
+    );
 }
 
 #[test]
