@@ -4,309 +4,348 @@ use crate::error::{AlgebraError, Result};
 use crate::plan::{BaseShape, Plan};
 use mdj_core::basevalues;
 use mdj_core::{Block, ExecContext, ExecStrategy, MdJoin};
+use mdj_expr::Predicate;
 use mdj_storage::{Catalog, Relation, Row};
 
 /// Execute a logical plan against a catalog.
 ///
 /// MD-join nodes run Algorithm 3.1 with the context's probe strategy;
 /// generalized MD-join nodes evaluate all blocks in one scan.
+///
+/// Every distinct `Table` and `Select` subplan is evaluated once per call:
+/// `MD(γ(σₚ T), σₚ T)`, generalized MD-joins and Example 2.5 chains scan
+/// `σₚ T` once, and every leg naming `T` reads the same catalog snapshot
+/// even when an ingest lands mid-query.
 pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Relation> {
-    // Governor poll per plan node: a cancelled or timed-out query stops
-    // between operators even when an individual operator's own polls are far
-    // apart (e.g. a cheap Select feeding an expensive MD-join).
-    ctx.check_interrupt()?;
-    // Fault-injection site per plan node (constant false unless armed): a
-    // typed failure here exercises the same error path a planner bug would.
-    if ctx.fault_should_fail_planner() {
-        return Err(AlgebraError::Core(mdj_core::CoreError::Internal(
-            "injected fault: plan execution".into(),
-        )));
+    Executor {
+        catalog,
+        ctx,
+        scans: Vec::new(),
     }
-    match plan {
-        Plan::Table(name) => Ok(catalog.get(name)?.as_ref().clone()),
-        Plan::Inline(rel) => Ok(rel.as_ref().clone()),
-        Plan::Select { input, pred } => {
-            let rel = execute(input, catalog, ctx)?;
-            // σ predicates are usually written over the detail side, but
-            // predicates produced for *base* plans (Observation 4.1 inputs)
-            // use base-side references; accept both.
-            if pred.uses_side(mdj_expr::Side::Base) {
-                let bound = pred.bind(Some(rel.schema()), None)?;
-                let mut out = Relation::empty(rel.schema().clone());
-                for row in rel.iter() {
-                    if bound.eval_bool(row.values(), &[])? {
-                        out.push_unchecked(row.clone());
+    .run(plan)
+}
+
+/// One top-level [`execute`] call.
+struct Executor<'p, 'c> {
+    catalog: &'c Catalog,
+    ctx: &'c ExecContext,
+    /// The `Table`/`Select` subplans evaluated so far, matched by structural
+    /// `==`. Holding a result costs a refcount: relations share their rows.
+    scans: Vec<(&'p Plan, Relation)>,
+}
+
+impl<'p> Executor<'p, '_> {
+    fn run(&mut self, plan: &'p Plan) -> Result<Relation> {
+        let (catalog, ctx) = (self.catalog, self.ctx);
+        // Governor poll per plan node: a cancelled or timed-out query stops
+        // between operators even when an individual operator's own polls are
+        // far apart (e.g. a cheap Select feeding an expensive MD-join).
+        ctx.check_interrupt()?;
+        // Fault-injection site per plan node (constant false unless armed): a
+        // typed failure here exercises the same error path a planner bug
+        // would.
+        if ctx.fault_should_fail_planner() {
+            return Err(AlgebraError::Core(mdj_core::CoreError::Internal(
+                "injected fault: plan execution".into(),
+            )));
+        }
+        match plan {
+            Plan::Table(name) => self.scan(plan, |_| Ok(catalog.get(name)?.as_ref().clone())),
+            Plan::Inline(rel) => Ok(rel.as_ref().clone()),
+            Plan::Select { input, pred } => self.scan(plan, |ex| select(&ex.run(input)?, pred)),
+            Plan::Project { input, cols } => {
+                let rel = self.run(input)?;
+                let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+                Ok(rel.project(&names)?)
+            }
+            Plan::Base { input, shape } => {
+                let rel = self.run(input)?;
+                let dims: Vec<&str> = shape.dims().iter().map(String::as_str).collect();
+                let out = match shape {
+                    BaseShape::GroupBy(_) => basevalues::group_by(&rel, &dims)?,
+                    BaseShape::Cube(_) => basevalues::cube(&rel, &dims)?,
+                    BaseShape::Rollup(_) => basevalues::rollup(&rel, &dims)?,
+                    BaseShape::GroupingSets(_, sets) => {
+                        let sets: Vec<Vec<&str>> = sets
+                            .iter()
+                            .map(|s| s.iter().map(String::as_str).collect())
+                            .collect();
+                        basevalues::grouping_sets(&rel, &dims, &sets)?
                     }
-                }
+                    BaseShape::Unpivot(_) => basevalues::unpivot(&rel, &dims)?,
+                };
                 Ok(out)
-            } else {
-                Ok(mdj_naive::ops::select(&rel, pred)?)
             }
-        }
-        Plan::Project { input, cols } => {
-            let rel = execute(input, catalog, ctx)?;
-            let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-            Ok(rel.project(&names)?)
-        }
-        Plan::Base { input, shape } => {
-            let rel = execute(input, catalog, ctx)?;
-            let dims: Vec<&str> = shape.dims().iter().map(String::as_str).collect();
-            let out = match shape {
-                BaseShape::GroupBy(_) => basevalues::group_by(&rel, &dims)?,
-                BaseShape::Cube(_) => basevalues::cube(&rel, &dims)?,
-                BaseShape::Rollup(_) => basevalues::rollup(&rel, &dims)?,
-                BaseShape::GroupingSets(_, sets) => {
-                    let sets: Vec<Vec<&str>> = sets
-                        .iter()
-                        .map(|s| s.iter().map(String::as_str).collect())
-                        .collect();
-                    basevalues::grouping_sets(&rel, &dims, &sets)?
+            Plan::Union(parts) => {
+                let mut iter = parts.iter();
+                let first = iter
+                    .next()
+                    .ok_or_else(|| AlgebraError::InvalidPlan("union of zero plans".into()))?;
+                let mut acc = self.run(first)?;
+                for p in iter {
+                    let next = self.run(p)?;
+                    acc = acc.union(&next)?;
                 }
-                BaseShape::Unpivot(_) => basevalues::unpivot(&rel, &dims)?,
-            };
-            Ok(out)
-        }
-        Plan::Union(parts) => {
-            let mut iter = parts.iter();
-            let first = iter
-                .next()
-                .ok_or_else(|| AlgebraError::InvalidPlan("union of zero plans".into()))?;
-            let mut acc = execute(first, catalog, ctx)?;
-            for p in iter {
-                let next = execute(p, catalog, ctx)?;
-                acc = acc.union(&next)?;
+                Ok(acc)
             }
-            Ok(acc)
-        }
-        Plan::MdJoin {
-            base,
-            detail,
-            aggs,
-            theta,
-        } => {
-            if let Some(out) = try_cached_cuboid(base, detail, aggs, theta, catalog, ctx)? {
-                return Ok(out);
-            }
-            if let Some(out) = try_paged_md_join(
-                base,
-                detail,
-                aggs,
-                theta,
-                ExecStrategy::Serial,
-                None,
-                catalog,
-                ctx,
-            )? {
-                return Ok(out);
-            }
-            let b = execute(base, catalog, ctx)?;
-            let r = execute(detail, catalog, ctx)?;
-            Ok(MdJoin::new(&b, &r)
-                .aggs(aggs)
-                .theta(theta.clone())
-                .strategy(ExecStrategy::Serial)
-                .run(ctx)?)
-        }
-        Plan::GenMdJoin {
-            base,
-            detail,
-            blocks,
-        } => {
-            let b = execute(base, catalog, ctx)?;
-            let r = execute(detail, catalog, ctx)?;
-            let core_blocks: Vec<Block> = blocks
-                .iter()
-                .map(|blk| Block::new(blk.theta.clone(), blk.aggs.clone()))
-                .collect();
-            Ok(MdJoin::new(&b, &r).blocks(core_blocks).run(ctx)?)
-        }
-        Plan::Parallel { input, threads } => match input.as_ref() {
             Plan::MdJoin {
                 base,
                 detail,
                 aggs,
                 theta,
             } => {
-                let threads = if *threads > 0 { Some(*threads) } else { None };
-                if let Some(out) = try_paged_md_join(
+                if let Some(out) = self.try_cached_cuboid(base, detail, aggs, theta)? {
+                    return Ok(out);
+                }
+                self.md_join(base, detail, aggs, theta, ExecStrategy::Serial, None)
+            }
+            Plan::GenMdJoin {
+                base,
+                detail,
+                blocks,
+            } => {
+                let b = self.run(base)?;
+                let r = self.run(detail)?;
+                let core_blocks: Vec<Block> = blocks
+                    .iter()
+                    .map(|blk| Block::new(blk.theta.clone(), blk.aggs.clone()))
+                    .collect();
+                Ok(MdJoin::new(&b, &r).blocks(core_blocks).run(ctx)?)
+            }
+            Plan::Parallel { input, threads } => match input.as_ref() {
+                Plan::MdJoin {
                     base,
                     detail,
                     aggs,
                     theta,
-                    ExecStrategy::Morsel,
-                    threads,
-                    catalog,
-                    ctx,
-                )? {
-                    return Ok(out);
+                } => {
+                    let threads = if *threads > 0 { Some(*threads) } else { None };
+                    self.md_join(base, detail, aggs, theta, ExecStrategy::Morsel, threads)
                 }
-                let b = execute(base, catalog, ctx)?;
-                let r = execute(detail, catalog, ctx)?;
-                let mut join = MdJoin::new(&b, &r)
+                other => Err(AlgebraError::InvalidPlan(format!(
+                    "Parallel may only wrap an MD-join node, got {other:?}"
+                ))),
+            },
+            Plan::Join {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                keep_right,
+            } => {
+                let l = self.run(left)?;
+                let r = self.run(right)?;
+                let lk: Vec<&str> = left_keys.iter().map(String::as_str).collect();
+                let rk: Vec<&str> = right_keys.iter().map(String::as_str).collect();
+                let joined = mdj_naive::join::hash_join(&l, &r, &lk, &rk)?;
+                // Keep left columns + the requested right columns.
+                let keep_idx: Vec<usize> = {
+                    let mut idx: Vec<usize> = (0..l.schema().len()).collect();
+                    for name in keep_right {
+                        let i = r.schema().index_of(name)?;
+                        idx.push(l.schema().len() + i);
+                    }
+                    idx
+                };
+                let schema = joined.schema().project(&keep_idx);
+                let rows = joined
+                    .iter()
+                    .map(|row| Row::new(row.key(&keep_idx)))
+                    .collect();
+                Ok(Relation::from_rows(schema, rows))
+            }
+        }
+    }
+
+    /// The memoized evaluation of a `Table` or `Select` node.
+    fn scan(
+        &mut self,
+        plan: &'p Plan,
+        eval: impl FnOnce(&mut Self) -> Result<Relation>,
+    ) -> Result<Relation> {
+        if let Some((_, rel)) = self.scans.iter().find(|(p, _)| *p == plan) {
+            return Ok(rel.clone());
+        }
+        let rel = eval(self)?;
+        self.scans.push((plan, rel.clone()));
+        Ok(rel)
+    }
+
+    /// An in-memory or page-backed MD-join node with the given strategy.
+    fn md_join(
+        &mut self,
+        base: &'p Plan,
+        detail: &'p Plan,
+        aggs: &[mdj_agg::AggSpec],
+        theta: &mdj_expr::Expr,
+        strategy: ExecStrategy,
+        threads: Option<usize>,
+    ) -> Result<Relation> {
+        if let Some(out) = self.try_paged_md_join(base, detail, aggs, theta, strategy, threads)? {
+            return Ok(out);
+        }
+        let b = self.run(base)?;
+        let r = self.run(detail)?;
+        let mut join = MdJoin::new(&b, &r)
+            .aggs(aggs)
+            .theta(theta.clone())
+            .strategy(strategy);
+        if let Some(t) = threads {
+            join = join.threads(t);
+        }
+        Ok(join.run(self.ctx)?)
+    }
+
+    /// The disk-resident fast path: when the MD-join's detail input is a
+    /// catalog table backed by a page store (and the engine has a buffer
+    /// pool attached), evaluate with [`mdj_core::paged_md_join`] instead of
+    /// handing the executor the resident relation. Theorem 4.2's prefilter
+    /// then becomes clustered-key page pruning — skipped pages are never
+    /// read — and the query's `ScanStats` pick up `pages_read` /
+    /// `bytes_read`.
+    ///
+    /// A detail-side σ directly under the MD-join participates too:
+    /// `MD(B, σ_p(R), l, θ) = MD(B, R, l, θ ∧ p)` (the range over `b` is
+    /// `{r | p(r) ∧ θ(b, r)}` either way), and folding `p` into θ is exactly
+    /// what lets a key predicate prune pages instead of filtering rows after
+    /// a full read.
+    fn try_paged_md_join(
+        &mut self,
+        base: &'p Plan,
+        detail: &Plan,
+        aggs: &[mdj_agg::AggSpec],
+        theta: &mdj_expr::Expr,
+        strategy: ExecStrategy,
+        threads: Option<usize>,
+    ) -> Result<Option<Relation>> {
+        let Some(pool) = self.ctx.buffer_pool() else {
+            return Ok(None);
+        };
+        // Unwrap an optional detail-side σ; base-side predicates (Observation
+        // 4.1 base inputs) cannot be folded into θ, so those fall through.
+        let (table_plan, folded_theta) = match detail {
+            Plan::Select { input, pred } if !pred.uses_side(mdj_expr::Side::Base) => (
+                input.as_ref(),
+                mdj_expr::builder::and(theta.clone(), pred.clone()),
+            ),
+            other => (other, theta.clone()),
+        };
+        let Plan::Table(name) = table_plan else {
+            return Ok(None);
+        };
+        let Some(paged) = self.catalog.paged(name) else {
+            return Ok(None);
+        };
+        let b = self.run(base)?;
+        let scan = mdj_core::PagedScan::new(paged, pool);
+        Ok(Some(mdj_core::paged_md_join(
+            &b,
+            &scan,
+            aggs,
+            &folded_theta,
+            strategy,
+            threads,
+            self.ctx,
+        )?))
+    }
+
+    /// The cuboid-cache fast path for the canonical group-by shape
+    /// `MD(γ_dims(T), T, l, θ_dims)`: exact repeats are answered from the
+    /// cached result, coarser queries roll up from a finer cached cuboid
+    /// (Theorem 4.5), and misses execute once and become resident. Returns
+    /// `None` (fall through to ordinary execution) when no cache is
+    /// configured or the plan is not in canonical form.
+    fn try_cached_cuboid(
+        &mut self,
+        base: &Plan,
+        detail: &Plan,
+        aggs: &[mdj_agg::AggSpec],
+        theta: &mdj_expr::Expr,
+    ) -> Result<Option<Relation>> {
+        use mdj_core::cache::{cuboid_theta, CacheAnswer, CuboidRequest};
+        let ctx = self.ctx;
+        let Some(cache) = ctx.cuboid_cache() else {
+            return Ok(None);
+        };
+        let (
+            Plan::Table(detail_name),
+            Plan::Base {
+                input,
+                shape: crate::plan::BaseShape::GroupBy(dims),
+            },
+        ) = (detail, base)
+        else {
+            return Ok(None);
+        };
+        let Plan::Table(base_name) = input.as_ref() else {
+            return Ok(None);
+        };
+        if base_name != detail_name || *theta != cuboid_theta(dims) {
+            return Ok(None);
+        }
+        // Resolve the *shared* Arc so the cache's pointer-identity validity
+        // test sees the same allocation on every repeat of the query.
+        let detail_rel = self.catalog.get(detail_name)?;
+        let req = CuboidRequest::new(detail_name.clone(), dims.clone(), aggs.to_vec());
+        match cache.lookup(&req, &detail_rel, ctx)? {
+            CacheAnswer::Exact(rel) => {
+                if let Some(stats) = ctx.stats() {
+                    stats.record_cache_hit();
+                }
+                Ok(Some(rel.as_ref().clone()))
+            }
+            CacheAnswer::Rollup(rel) => {
+                if let Some(stats) = ctx.stats() {
+                    stats.record_cache_rollup_hit();
+                }
+                Ok(Some(rel.as_ref().clone()))
+            }
+            CacheAnswer::Miss => {
+                if let Some(stats) = ctx.stats() {
+                    stats.record_cache_miss();
+                }
+                let dim_refs: Vec<&str> = dims.iter().map(String::as_str).collect();
+                let b = basevalues::group_by(&detail_rel, &dim_refs)?;
+                let out = MdJoin::new(&b, &detail_rel)
                     .aggs(aggs)
                     .theta(theta.clone())
-                    .strategy(ExecStrategy::Morsel);
-                if let Some(t) = threads {
-                    join = join.threads(t);
-                }
-                Ok(join.run(ctx)?)
+                    .strategy(ExecStrategy::Serial)
+                    .run(ctx)?;
+                let shared = std::sync::Arc::new(out);
+                cache.insert(&req, &detail_rel, shared.clone());
+                Ok(Some(shared.as_ref().clone()))
             }
-            other => Err(AlgebraError::InvalidPlan(format!(
-                "Parallel may only wrap an MD-join node, got {other:?}"
-            ))),
-        },
-        Plan::Join {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            keep_right,
-        } => {
-            let l = execute(left, catalog, ctx)?;
-            let r = execute(right, catalog, ctx)?;
-            let lk: Vec<&str> = left_keys.iter().map(String::as_str).collect();
-            let rk: Vec<&str> = right_keys.iter().map(String::as_str).collect();
-            let joined = mdj_naive::join::hash_join(&l, &r, &lk, &rk)?;
-            // Keep left columns + the requested right columns.
-            let keep_idx: Vec<usize> = {
-                let mut idx: Vec<usize> = (0..l.schema().len()).collect();
-                for name in keep_right {
-                    let i = r.schema().index_of(name)?;
-                    idx.push(l.schema().len() + i);
-                }
-                idx
-            };
-            let schema = joined.schema().project(&keep_idx);
-            let rows = joined
-                .iter()
-                .map(|row| Row::new(row.key(&keep_idx)))
-                .collect();
-            Ok(Relation::from_rows(schema, rows))
         }
     }
 }
 
-/// The disk-resident fast path: when the MD-join's detail input is a
-/// catalog table backed by a page store (and the engine has a buffer pool
-/// attached), evaluate with [`mdj_core::paged_md_join`] instead of handing
-/// the executor the resident relation. Theorem 4.2's prefilter then becomes
-/// clustered-key page pruning — skipped pages are never read — and the
-/// query's `ScanStats` pick up `pages_read` / `bytes_read`.
-///
-/// A detail-side σ directly under the MD-join participates too:
-/// `MD(B, σ_p(R), l, θ) = MD(B, R, l, θ ∧ p)` (the range over `b` is
-/// `{r | p(r) ∧ θ(b, r)}` either way), and folding `p` into θ is exactly
-/// what lets a key predicate prune pages instead of filtering rows after
-/// a full read.
-#[allow(clippy::too_many_arguments)]
-fn try_paged_md_join(
-    base: &Plan,
-    detail: &Plan,
-    aggs: &[mdj_agg::AggSpec],
-    theta: &mdj_expr::Expr,
-    strategy: ExecStrategy,
-    threads: Option<usize>,
-    catalog: &Catalog,
-    ctx: &ExecContext,
-) -> Result<Option<Relation>> {
-    let Some(pool) = ctx.buffer_pool() else {
-        return Ok(None);
+/// σ over one relation, on a [`Predicate`]: a conjunction of leaf
+/// comparisons is checked flattened, any other shape by the tree walk.
+/// σ predicates are usually written over the detail side, but predicates
+/// produced for *base* plans (Observation 4.1 inputs) use base-side
+/// references; the input binds as whichever side the predicate reads.
+/// [`mdj_naive::ops::select`] remains the reference evaluator.
+fn select(rel: &Relation, pred: &mdj_expr::Expr) -> Result<Relation> {
+    let on_base = pred.uses_side(mdj_expr::Side::Base);
+    let schema = Some(rel.schema());
+    let bound = if on_base {
+        pred.bind(schema, None)?
+    } else {
+        pred.bind(None, schema)?
     };
-    // Unwrap an optional detail-side σ; base-side predicates (Observation
-    // 4.1 base inputs) cannot be folded into θ, so those fall through.
-    let (table_plan, folded_theta) = match detail {
-        Plan::Select { input, pred } if !pred.uses_side(mdj_expr::Side::Base) => (
-            input.as_ref(),
-            mdj_expr::builder::and(theta.clone(), pred.clone()),
-        ),
-        other => (other, theta.clone()),
-    };
-    let Plan::Table(name) = table_plan else {
-        return Ok(None);
-    };
-    let Some(paged) = catalog.paged(name) else {
-        return Ok(None);
-    };
-    let b = execute(base, catalog, ctx)?;
-    let scan = mdj_core::PagedScan::new(paged, pool);
-    Ok(Some(mdj_core::paged_md_join(
-        &b,
-        &scan,
-        aggs,
-        &folded_theta,
-        strategy,
-        threads,
-        ctx,
-    )?))
-}
-
-/// The cuboid-cache fast path for the canonical group-by shape
-/// `MD(γ_dims(T), T, l, θ_dims)`: exact repeats are answered from the cached
-/// result, coarser queries roll up from a finer cached cuboid (Theorem 4.5),
-/// and misses execute once and become resident. Returns `None` (fall through
-/// to ordinary execution) when no cache is configured or the plan is not in
-/// canonical form.
-fn try_cached_cuboid(
-    base: &Plan,
-    detail: &Plan,
-    aggs: &[mdj_agg::AggSpec],
-    theta: &mdj_expr::Expr,
-    catalog: &Catalog,
-    ctx: &ExecContext,
-) -> Result<Option<Relation>> {
-    use mdj_core::cache::{cuboid_theta, CacheAnswer, CuboidRequest};
-    let Some(cache) = ctx.cuboid_cache() else {
-        return Ok(None);
-    };
-    let (
-        Plan::Table(detail_name),
-        Plan::Base {
-            input,
-            shape: crate::plan::BaseShape::GroupBy(dims),
-        },
-    ) = (detail, base)
-    else {
-        return Ok(None);
-    };
-    let Plan::Table(base_name) = input.as_ref() else {
-        return Ok(None);
-    };
-    if base_name != detail_name || *theta != cuboid_theta(dims) {
-        return Ok(None);
-    }
-    // Resolve the *shared* Arc so the cache's pointer-identity validity test
-    // sees the same allocation on every repeat of the query.
-    let detail_rel = catalog.get(detail_name)?;
-    let req = CuboidRequest::new(detail_name.clone(), dims.clone(), aggs.to_vec());
-    match cache.lookup(&req, &detail_rel, ctx)? {
-        CacheAnswer::Exact(rel) => {
-            if let Some(stats) = ctx.stats() {
-                stats.record_cache_hit();
-            }
-            Ok(Some(rel.as_ref().clone()))
-        }
-        CacheAnswer::Rollup(rel) => {
-            if let Some(stats) = ctx.stats() {
-                stats.record_cache_rollup_hit();
-            }
-            Ok(Some(rel.as_ref().clone()))
-        }
-        CacheAnswer::Miss => {
-            if let Some(stats) = ctx.stats() {
-                stats.record_cache_miss();
-            }
-            let dim_refs: Vec<&str> = dims.iter().map(String::as_str).collect();
-            let b = basevalues::group_by(&detail_rel, &dim_refs)?;
-            let out = MdJoin::new(&b, &detail_rel)
-                .aggs(aggs)
-                .theta(theta.clone())
-                .strategy(ExecStrategy::Serial)
-                .run(ctx)?;
-            let shared = std::sync::Arc::new(out);
-            cache.insert(&req, &detail_rel, shared.clone());
-            Ok(Some(shared.as_ref().clone()))
+    let pred = Predicate::new(bound);
+    let mut rows = Vec::new();
+    for row in rel.iter() {
+        let (b, r) = if on_base {
+            (row.values(), &[][..])
+        } else {
+            (&[][..], row.values())
+        };
+        if pred.eval(b, r)? {
+            rows.push(row.clone());
         }
     }
+    Ok(Relation::from_rows(rel.schema().clone(), rows))
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 use crate::ast::{BinOp, Expr, Side};
 use crate::error::{ExprError, Result};
 use mdj_storage::{Schema, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// An expression with column references resolved to positions.
@@ -123,33 +124,25 @@ pub(crate) fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 }
 
 pub(crate) fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
+    Value::Bool(compare_bool(op, l, r))
+}
+
+#[inline]
+fn compare_bool(op: BinOp, l: &Value, r: &Value) -> bool {
     // SQL semantics: a comparison with NULL (or incomparable types) is false.
     // Exception: Eq/Ne between non-null values of incomparable type is a plain
     // "not equal" rather than an error, so θs like `state = 'NY'` stay total.
     match l.sql_cmp(r) {
-        Some(ord) => {
-            let b = match op {
-                BinOp::Eq => ord == Ordering::Equal,
-                BinOp::Ne => ord != Ordering::Equal,
-                BinOp::Lt => ord == Ordering::Less,
-                BinOp::Le => ord != Ordering::Greater,
-                BinOp::Gt => ord == Ordering::Greater,
-                BinOp::Ge => ord != Ordering::Less,
-                _ => unreachable!(),
-            };
-            Value::Bool(b)
-        }
-        None => {
-            if l.is_null() || r.is_null() {
-                Value::Bool(false)
-            } else {
-                match op {
-                    BinOp::Eq => Value::Bool(false),
-                    BinOp::Ne => Value::Bool(true),
-                    _ => Value::Bool(false),
-                }
-            }
-        }
+        Some(ord) => match op {
+            BinOp::Eq => ord == Ordering::Equal,
+            BinOp::Ne => ord != Ordering::Equal,
+            BinOp::Lt => ord == Ordering::Less,
+            BinOp::Le => ord != Ordering::Greater,
+            BinOp::Gt => ord == Ordering::Greater,
+            BinOp::Ge => ord != Ordering::Less,
+            _ => unreachable!(),
+        },
+        None => op == BinOp::Ne && !l.is_null() && !r.is_null(),
     }
 }
 
@@ -161,40 +154,47 @@ impl BoundExpr {
             BoundExpr::BCol(i) => Ok(b[*i].clone()),
             BoundExpr::RCol(i) => Ok(r[*i].clone()),
             BoundExpr::Lit(v) => Ok(v.clone()),
-            BoundExpr::Binary { op, lhs, rhs } => match op {
-                BinOp::And => {
-                    // Short-circuit: the common θ shape is a conjunction whose
-                    // first conjunct (the equality) usually fails.
-                    if !lhs.eval_bool(b, r)? {
-                        return Ok(Value::Bool(false));
-                    }
-                    Ok(Value::Bool(rhs.eval_bool(b, r)?))
-                }
-                BinOp::Or => {
-                    if lhs.eval_bool(b, r)? {
-                        return Ok(Value::Bool(true));
-                    }
-                    Ok(Value::Bool(rhs.eval_bool(b, r)?))
-                }
-                op if op.is_comparison() => {
-                    let l = lhs.eval(b, r)?;
-                    let rv = rhs.eval(b, r)?;
-                    Ok(compare(*op, &l, &rv))
-                }
-                op => {
-                    let l = lhs.eval(b, r)?;
-                    let rv = rhs.eval(b, r)?;
-                    arith(*op, &l, &rv)
-                }
-            },
-            BoundExpr::Not(e) => Ok(Value::Bool(!e.eval_bool(b, r)?)),
+            BoundExpr::Binary { op, lhs, rhs } if op.is_arithmetic() => {
+                arith(*op, &*lhs.operand(b, r)?, &*rhs.operand(b, r)?)
+            }
+            BoundExpr::Binary { .. } | BoundExpr::Not(_) => Ok(Value::Bool(self.eval_bool(b, r)?)),
         }
     }
 
     /// Evaluate as a predicate: `true` only for `Bool(true)`. NULL and
     /// non-boolean results are false, mirroring SQL WHERE semantics.
+    ///
+    /// Connectives and comparisons are decided here directly, without
+    /// building intermediate `Value`s, and comparison operands that are
+    /// leaves are borrowed from the rows rather than cloned.
     pub fn eval_bool(&self, b: &[Value], r: &[Value]) -> Result<bool> {
-        Ok(matches!(self.eval(b, r)?, Value::Bool(true)))
+        match self {
+            BoundExpr::Binary { op, lhs, rhs } => match op {
+                // Short-circuit: the common θ shape is a conjunction whose
+                // first conjunct (the equality) usually fails.
+                BinOp::And => Ok(lhs.eval_bool(b, r)? && rhs.eval_bool(b, r)?),
+                BinOp::Or => Ok(lhs.eval_bool(b, r)? || rhs.eval_bool(b, r)?),
+                op if op.is_comparison() => Ok(compare_bool(
+                    *op,
+                    &*lhs.operand(b, r)?,
+                    &*rhs.operand(b, r)?,
+                )),
+                _ => Ok(matches!(self.eval(b, r)?, Value::Bool(true))),
+            },
+            BoundExpr::Not(e) => Ok(!e.eval_bool(b, r)?),
+            leaf => Ok(matches!(*leaf.operand(b, r)?, Value::Bool(true))),
+        }
+    }
+
+    /// An operand's value: borrowed for a column or literal leaf, computed
+    /// for anything else.
+    fn operand<'a>(&'a self, b: &'a [Value], r: &'a [Value]) -> Result<Cow<'a, Value>> {
+        Ok(match self {
+            BoundExpr::BCol(i) => Cow::Borrowed(&b[*i]),
+            BoundExpr::RCol(i) => Cow::Borrowed(&r[*i]),
+            BoundExpr::Lit(v) => Cow::Borrowed(v),
+            _ => Cow::Owned(self.eval(b, r)?),
+        })
     }
 
     /// Evaluate with only a detail row (base side unused).
@@ -205,6 +205,117 @@ impl BoundExpr {
     /// Evaluate with only a base row (detail side unused).
     pub fn eval_base(&self, b: &[Value]) -> Result<Value> {
         self.eval(b, &[])
+    }
+}
+
+/// A comparison operand that needs no evaluation: a column of either side
+/// or a literal.
+#[derive(Debug, Clone, PartialEq)]
+enum Leaf {
+    BCol(usize),
+    RCol(usize),
+    Lit(Value),
+}
+
+impl Leaf {
+    fn of(e: &BoundExpr) -> Option<Leaf> {
+        match e {
+            BoundExpr::BCol(i) => Some(Leaf::BCol(*i)),
+            BoundExpr::RCol(i) => Some(Leaf::RCol(*i)),
+            BoundExpr::Lit(v) => Some(Leaf::Lit(v.clone())),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn get<'a>(&'a self, b: &'a [Value], r: &'a [Value]) -> &'a Value {
+        match self {
+            Leaf::BCol(i) => &b[*i],
+            Leaf::RCol(i) => &r[*i],
+            Leaf::Lit(v) => v,
+        }
+    }
+}
+
+/// A conjunction of leaf comparisons `l₁ op₁ r₁ ∧ … ∧ lₙ opₙ rₙ`, flattened
+/// once into `(op, lhs, rhs)` terms. Checking a row is then a loop over
+/// borrowed operands, in the tree walk's left-to-right order, with the same
+/// comparison semantics: a leaf comparison cannot fail, so the answer is
+/// exactly [`BoundExpr::eval_bool`]'s.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Conjunction {
+    terms: Vec<(BinOp, Leaf, Leaf)>,
+}
+
+impl Conjunction {
+    /// Flatten `e` when every conjunct is a comparison of two leaves;
+    /// `None` for any other shape (`Or`, `Not`, arithmetic operands, bare
+    /// literals), which must keep the tree walk.
+    pub fn compile(e: &BoundExpr) -> Option<Conjunction> {
+        fn flatten(e: &BoundExpr, terms: &mut Vec<(BinOp, Leaf, Leaf)>) -> Option<()> {
+            match e {
+                BoundExpr::Binary {
+                    op: BinOp::And,
+                    lhs,
+                    rhs,
+                } => {
+                    flatten(lhs, terms)?;
+                    flatten(rhs, terms)
+                }
+                BoundExpr::Binary { op, lhs, rhs } if op.is_comparison() => {
+                    terms.push((*op, Leaf::of(lhs)?, Leaf::of(rhs)?));
+                    Some(())
+                }
+                _ => None,
+            }
+        }
+        let mut terms = Vec::new();
+        flatten(e, &mut terms)?;
+        Some(Conjunction { terms })
+    }
+
+    /// Number of flattened comparisons.
+    pub fn len(&self) -> usize {
+        self.terms.len()
+    }
+
+    /// Never true: a compiled conjunction holds at least one comparison.
+    pub fn is_empty(&self) -> bool {
+        self.terms.is_empty()
+    }
+
+    /// Check a pair of rows, stopping at the first false term.
+    #[inline]
+    pub fn eval(&self, b: &[Value], r: &[Value]) -> bool {
+        self.terms
+            .iter()
+            .all(|(op, l, rt)| compare_bool(*op, l.get(b, r), rt.get(b, r)))
+    }
+}
+
+/// A bound predicate prepared for per-row checks: the flattened
+/// [`Conjunction`] when the shape allows it, else the tree walk.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Predicate {
+    Conjunction(Conjunction),
+    Tree(BoundExpr),
+}
+
+impl Predicate {
+    pub fn new(bound: BoundExpr) -> Predicate {
+        match Conjunction::compile(&bound) {
+            Some(c) => Predicate::Conjunction(c),
+            None => Predicate::Tree(bound),
+        }
+    }
+
+    /// Same answer as [`BoundExpr::eval_bool`] on the bound expression.
+    #[inline]
+    pub fn eval(&self, b: &[Value], r: &[Value]) -> Result<bool> {
+        match self {
+            Predicate::Conjunction(c) => Ok(c.eval(b, r)),
+            Predicate::Tree(e) => e.eval_bool(b, r),
+        }
     }
 }
 

@@ -222,6 +222,11 @@ impl QueryService {
         if let Some(cache) = self.engine.cuboid_cache() {
             cache.clear();
         }
+        // So do the buffer pool's resident pages (charged through
+        // `PoolChargeAdapter`); nothing reads them once queries are drained.
+        if let Some(pages) = self.engine.buffer_pool() {
+            pages.clear();
+        }
         let pool_wait = Instant::now();
         while (self.pool().reserved() > 0 || self.pool().waiters() > 0)
             && pool_wait.elapsed() < GRACE
@@ -709,6 +714,34 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.code(), "shutting_down");
         assert_eq!(svc.pool().reserved(), 0);
+    }
+
+    #[test]
+    fn drain_releases_resident_buffer_pool_pages() {
+        let dir = std::env::temp_dir().join(format!("mdj-drain-pages-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (store, _) = mdj_storage::PagedStore::open(&dir).unwrap();
+        let table = store.create_table("Sales", &sales(), "month", 256).unwrap();
+        let svc = service(ServiceConfig::default());
+        svc.engine().catalog().attach_paged("Sales", table).unwrap();
+        let pages = mdj_core::PoolChargeAdapter::hooked_pool(svc.pool().clone(), 1 << 20);
+        svc.engine().attach_buffer_pool(pages);
+        svc.attach_paged_store(store);
+        let sid = svc.open_session();
+        let out = svc
+            .query(
+                sid,
+                "select cust, sum(sale) from Sales group by cust",
+                ExecOptions::default(),
+            )
+            .unwrap();
+        assert!(out.stats.pages_read > 0, "the query must read pages");
+        assert!(svc.pool().reserved() > 0, "resident pages stay charged");
+        let report = svc.drain(Duration::from_millis(100));
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.pool_reserved, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

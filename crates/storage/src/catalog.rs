@@ -383,4 +383,36 @@ mod tests {
         assert_eq!(snap.get("Sales").unwrap().len(), 2);
         assert_eq!(c.get("Sales").unwrap().len(), 3);
     }
+
+    #[test]
+    fn query_snapshot_survives_concurrent_ingest() {
+        let mut c = Catalog::new();
+        c.register("Sales", sales());
+        // What a plan's table leaf holds: a copy-on-write clone of the
+        // catalog relation, sharing its rows.
+        let leaf = c.get("Sales").unwrap().as_ref().clone();
+        let before = leaf.rows().to_vec();
+        std::thread::scope(|s| {
+            for t in 0..2i64 {
+                let c = &c;
+                s.spawn(move || {
+                    for i in 0..50 {
+                        let row = Row::from_values(vec![
+                            Value::Int(100 * t + i),
+                            Value::str("NJ"),
+                            Value::Float(1.0),
+                        ]);
+                        c.ingest("Sales", vec![row]).unwrap();
+                    }
+                });
+            }
+            // Read the leaf while the ingests run.
+            for _ in 0..50 {
+                assert_eq!(leaf.rows(), &before[..]);
+            }
+        });
+        assert_eq!(leaf.rows(), &before[..]);
+        assert_eq!(c.get("Sales").unwrap().len(), 102);
+        assert_eq!(c.version("Sales").unwrap(), 101);
+    }
 }

@@ -7,6 +7,7 @@ use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// An in-memory relation: a schema plus a multiset of rows.
 ///
@@ -15,24 +16,37 @@ use std::fmt;
 /// are all `Relation`s, exactly as in the paper ("the base values table B as
 /// well as the relation R can be the result of a relational algebra
 /// expression").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The rows are copy-on-write: `Clone` shares them behind an `Arc`, so
+/// handing a catalog table, an inline plan leaf, or a cached cuboid to an
+/// operator costs a refcount bump. The first mutation through `push`,
+/// `push_unchecked`, `rows_mut` or `sort_by` copies the rows if another
+/// clone still shares them, so no clone ever observes another's writes.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Relation {
     schema: Schema,
-    rows: Vec<Row>,
+    rows: Arc<Vec<Row>>,
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema
+            && (Arc::ptr_eq(&self.rows, &other.rows) || self.rows == other.rows)
+    }
 }
 
 impl Relation {
     /// Empty relation with the given schema.
     pub fn empty(schema: Schema) -> Self {
-        Relation {
-            schema,
-            rows: Vec::new(),
-        }
+        Relation::from_rows(schema, Vec::new())
     }
 
     /// Build from parts without validation (rows are trusted).
     pub fn from_rows(schema: Schema, rows: Vec<Row>) -> Self {
-        Relation { schema, rows }
+        Relation {
+            schema,
+            rows: Arc::new(rows),
+        }
     }
 
     /// Build from parts, validating every row's arity and column types.
@@ -40,7 +54,7 @@ impl Relation {
         for row in &rows {
             Self::validate_row(&schema, row)?;
         }
-        Ok(Relation { schema, rows })
+        Ok(Relation::from_rows(schema, rows))
     }
 
     fn validate_row(schema: &Schema, row: &Row) -> Result<()> {
@@ -66,13 +80,13 @@ impl Relation {
     /// Append a row, validating it against the schema.
     pub fn push(&mut self, row: Row) -> Result<()> {
         Self::validate_row(&self.schema, &row)?;
-        self.rows.push(row);
+        self.rows_mut().push(row);
         Ok(())
     }
 
     /// Append a row without validation.
     pub fn push_unchecked(&mut self, row: Row) {
-        self.rows.push(row);
+        self.rows_mut().push(row);
     }
 
     pub fn schema(&self) -> &Schema {
@@ -83,12 +97,21 @@ impl Relation {
         &self.rows
     }
 
+    /// Mutable rows; copies them first if another clone shares them.
     pub fn rows_mut(&mut self) -> &mut Vec<Row> {
-        &mut self.rows
+        Arc::make_mut(&mut self.rows)
     }
 
+    /// The rows, moved out when this relation is their only owner and
+    /// copied when a clone still shares them.
     pub fn into_rows(self) -> Vec<Row> {
-        self.rows
+        Arc::try_unwrap(self.rows).unwrap_or_else(|shared| shared.as_ref().clone())
+    }
+
+    /// Whether `self` and `other` share one row allocation (a clone whose
+    /// rows neither side has mutated since).
+    pub fn shares_rows_with(&self, other: &Relation) -> bool {
+        Arc::ptr_eq(&self.rows, &other.rows)
     }
 
     pub fn len(&self) -> usize {
@@ -113,7 +136,7 @@ impl Relation {
         let idx = self.schema.indices_of(names)?;
         let schema = self.schema.project(&idx);
         let rows = self.rows.iter().map(|r| Row::new(r.key(&idx))).collect();
-        Ok(Relation { schema, rows })
+        Ok(Relation::from_rows(schema, rows))
     }
 
     /// `SELECT DISTINCT` over the named columns — the paper's canonical way of
@@ -123,36 +146,33 @@ impl Relation {
         let schema = self.schema.project(&idx);
         let mut seen: HashSet<Vec<Value>> = HashSet::new();
         let mut rows = Vec::new();
-        for r in &self.rows {
+        for r in self.rows.iter() {
             let key = r.key(&idx);
             if seen.insert(key.clone()) {
                 rows.push(Row::new(key));
             }
         }
-        Ok(Relation { schema, rows })
+        Ok(Relation::from_rows(schema, rows))
     }
 
     /// Remove duplicate rows (full-row distinct).
     pub fn distinct(&self) -> Relation {
         let mut seen: HashSet<Row> = HashSet::new();
         let mut rows = Vec::new();
-        for r in &self.rows {
+        for r in self.rows.iter() {
             if seen.insert(r.clone()) {
                 rows.push(r.clone());
             }
         }
-        Relation {
-            schema: self.schema.clone(),
-            rows,
-        }
+        Relation::from_rows(self.schema.clone(), rows)
     }
 
     /// Filter by a row predicate.
     pub fn filter(&self, mut pred: impl FnMut(&Row) -> bool) -> Relation {
-        Relation {
-            schema: self.schema.clone(),
-            rows: self.rows.iter().filter(|r| pred(r)).cloned().collect(),
-        }
+        Relation::from_rows(
+            self.schema.clone(),
+            self.rows.iter().filter(|r| pred(r)).cloned().collect(),
+        )
     }
 
     /// Multiset union with an identically-shaped relation (Theorem 4.1 glue).
@@ -163,18 +183,16 @@ impl Relation {
                 got: other.schema.len(),
             });
         }
-        let mut rows = self.rows.clone();
+        let mut rows = Vec::with_capacity(self.len() + other.len());
+        rows.extend(self.rows.iter().cloned());
         rows.extend(other.rows.iter().cloned());
-        Ok(Relation {
-            schema: self.schema.clone(),
-            rows,
-        })
+        Ok(Relation::from_rows(self.schema.clone(), rows))
     }
 
     /// In-place stable sort by the named columns (ascending, total order).
     pub fn sort_by(&mut self, names: &[&str]) -> Result<()> {
         let idx = self.schema.indices_of(names)?;
-        self.rows.sort_by_key(|row| row.key(&idx));
+        self.rows_mut().sort_by_key(|row| row.key(&idx));
         Ok(())
     }
 
@@ -206,8 +224,8 @@ impl Relation {
         if self.rows.len() != other.rows.len() {
             return false;
         }
-        let mut a = self.rows.clone();
-        let mut b = other.rows.clone();
+        let mut a = self.rows.as_ref().clone();
+        let mut b = other.rows.as_ref().clone();
         a.sort();
         b.sort();
         a == b
@@ -221,8 +239,8 @@ impl Relation {
         if self.rows.len() != other.rows.len() {
             return false;
         }
-        let mut a = self.rows.clone();
-        let mut b = other.rows.clone();
+        let mut a = self.rows.as_ref().clone();
+        let mut b = other.rows.as_ref().clone();
         a.sort();
         b.sort();
         a.iter().zip(&b).all(|(x, y)| {
@@ -383,6 +401,62 @@ mod tests {
         assert!(s.contains("cust"));
         assert!(s.contains("NY"));
         assert!(s.starts_with('+'));
+    }
+
+    #[test]
+    fn clone_shares_rows_until_a_write() {
+        let original = rel();
+        let snapshot = original.rows().to_vec();
+
+        let mut pushed = original.clone();
+        assert!(pushed.shares_rows_with(&original));
+        pushed
+            .push(Row::from_values(vec![
+                Value::Int(3),
+                Value::str("CT"),
+                Value::Float(1.0),
+            ]))
+            .unwrap();
+        assert!(!pushed.shares_rows_with(&original));
+        assert_eq!(pushed.len(), 5);
+
+        let mut mutated = original.clone();
+        mutated.rows_mut()[0] =
+            Row::from_values(vec![Value::Int(9), Value::str("TX"), Value::Float(0.0)]);
+        mutated.push_unchecked(Row::from_values(vec![
+            Value::Int(4),
+            Value::str("NY"),
+            Value::Float(2.0),
+        ]));
+
+        let mut sorted = original.clone();
+        sorted.sort_by(&["sale"]).unwrap();
+        sorted.rows_mut().reverse();
+
+        assert_eq!(original.rows(), &snapshot[..]);
+        assert_eq!(mutated.rows()[0][0], Value::Int(9));
+        assert_eq!(sorted.rows()[0][2], Value::Float(40.0));
+        // Relations derived without a write keep sharing.
+        assert!(original.with_alias("S").shares_rows_with(&original));
+    }
+
+    #[test]
+    fn into_rows_moves_when_unique_and_copies_when_shared() {
+        let unique = rel();
+        let at = unique.rows().as_ptr();
+        let moved = unique.into_rows();
+        assert_eq!(moved.as_ptr(), at);
+
+        let shared = rel();
+        let other = shared.clone();
+        let at = shared.rows().as_ptr();
+        let rows = shared.into_rows();
+        assert_ne!(rows.as_ptr(), at);
+        assert_eq!(rows, other.rows());
+        // The remaining owner is now unique again.
+        assert_eq!(other.rows().as_ptr(), at);
+        let moved = other.into_rows();
+        assert_eq!(moved.as_ptr(), at);
     }
 
     #[test]
