@@ -201,19 +201,14 @@ impl PagedScan {
     /// order), each page fetched — and cached — through the pool. Records
     /// one scan of the admitted rows.
     pub fn materialize(&self, ctx: &ExecContext) -> Result<Relation> {
-        let mut rel = Relation::empty(self.table.schema().clone());
-        let pages = self.admitted_pages();
-        let mut rows = 0u64;
-        for &pno in &pages {
+        let mut rows = Vec::new();
+        for pno in self.admitted_pages() {
             ctx.check_interrupt()?;
             let page = self.fetch(pno, ctx)?;
-            rows += page.len() as u64;
-            for row in page.iter() {
-                rel.push_unchecked(row.clone());
-            }
+            rows.extend(page.iter().cloned());
         }
-        ctx.record_scan(rows);
-        Ok(rel)
+        ctx.record_scan(rows.len() as u64);
+        Ok(Relation::from_rows(self.table.schema().clone(), rows))
     }
 }
 

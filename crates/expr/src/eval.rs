@@ -123,12 +123,8 @@ pub(crate) fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
-pub(crate) fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
-    Value::Bool(compare_bool(op, l, r))
-}
-
 #[inline]
-fn compare_bool(op: BinOp, l: &Value, r: &Value) -> bool {
+pub(crate) fn compare_bool(op: BinOp, l: &Value, r: &Value) -> bool {
     // SQL semantics: a comparison with NULL (or incomparable types) is false.
     // Exception: Eq/Ne between non-null values of incomparable type is a plain
     // "not equal" rather than an error, so θs like `state = 'NY'` stay total.

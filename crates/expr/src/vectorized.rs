@@ -30,7 +30,7 @@
 //! expressions (detail-only by `split_equalities`).
 
 use crate::ast::{BinOp, Expr};
-use crate::eval::{arith, compare, BoundExpr};
+use crate::eval::{arith, compare_bool, BoundExpr};
 use mdj_storage::columnar::{Column, ColumnarChunk};
 use mdj_storage::{cmp_int_float, Value};
 use std::cmp::Ordering;
@@ -310,23 +310,12 @@ macro_rules! dispatch_arith {
     };
 }
 
-/// Mirror of the comparison's argument order: `a OP b` ⇔ `b FLIP(OP) a`.
-fn flip(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other,
-    }
-}
-
 fn compare_batch(op: BinOp, l: BatchVals, r: BatchVals, n: usize) -> Option<BatchVals> {
     use BatchVals::*;
     dispatch_cmp!(op, |t| match (l, r) {
-        (Const(a), Const(b)) => Some(Const(compare(op, &a, &b))),
+        (Const(a), Const(b)) => Some(Const(Value::Bool(compare_bool(op, &a, &b)))),
         // Normalize const-on-the-left to const-on-the-right.
-        (Const(a), other) => compare_batch(flip(op), other, Const(a), n),
+        (Const(a), other) => compare_batch(op.flip(), other, Const(a), n),
         (Ints { vals, nulls }, Const(c)) => Some(Bools(match &c {
             Value::Int(k) => vals
                 .iter()

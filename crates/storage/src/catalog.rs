@@ -145,10 +145,10 @@ impl Catalog {
         let mut batch = staged.into_rows();
         let mut stats = (*entry.stats).clone();
         stats.fold_rows(&mut batch);
-        let mut grown = (*entry.rel).clone();
-        for row in &batch {
-            grown.push_unchecked(row.clone());
-        }
+        let mut rows = Vec::with_capacity(entry.rel.len() + batch.len());
+        rows.extend(entry.rel.iter().cloned());
+        rows.extend(batch.iter().cloned());
+        let grown = Relation::from_rows(entry.rel.schema().clone(), rows);
         let old = std::mem::replace(&mut entry.rel, Arc::new(grown));
         entry.version += 1;
         entry.stats = Arc::new(stats);
