@@ -325,7 +325,7 @@ impl<'p> Executor<'p, '_> {
 /// produced for *base* plans (Observation 4.1 inputs) use base-side
 /// references; the input binds as whichever side the predicate reads.
 /// [`mdj_naive::ops::select`] remains the reference evaluator.
-fn select(rel: &Relation, pred: &mdj_expr::Expr) -> Result<Relation> {
+pub fn select(rel: &Relation, pred: &mdj_expr::Expr) -> Result<Relation> {
     let on_base = pred.uses_side(mdj_expr::Side::Base);
     let schema = Some(rel.schema());
     let bound = if on_base {
@@ -645,6 +645,58 @@ mod tests {
         let scan = PagedScan::new(table, engine.buffer_pool().unwrap());
         assert_eq!(scan.materialize(&ctx).unwrap().len(), rel.len());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn both_legs_read_one_snapshot_under_concurrent_ingest() {
+        // Every batch adds one row for an existing customer and one for a
+        // new customer, so within one snapshot Σ count(*) = 2 · groups.
+        // A base from one version joined with a detail from a later one
+        // counts the existing customer's new row without its new group.
+        let schema = Schema::from_pairs(&[
+            ("cust", DataType::Int),
+            ("month", DataType::Int),
+            ("state", DataType::Str),
+            ("sale", DataType::Float),
+        ]);
+        let row = |c: i64| {
+            Row::from_values(vec![
+                Value::Int(c),
+                Value::Int(1),
+                Value::str("NY"),
+                Value::Float(1.0),
+            ])
+        };
+        let mut cat = Catalog::new();
+        cat.register(
+            "Sales",
+            Relation::from_rows(schema, (0..4000).map(|i| row(i / 2)).collect()),
+        );
+        let plan = Plan::table("Sales").group_by_base(&["cust"]).md_join(
+            Plan::table("Sales"),
+            vec![AggSpec::count_star()],
+            eq(col_b("cust"), col_r("cust")),
+        );
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for k in 0..200 {
+                    cat.ingest("Sales", vec![row(0), row(10_000 + k)]).unwrap();
+                }
+                done.store(true, std::sync::atomic::Ordering::Release);
+            });
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                let out = execute(&plan, &cat, &ExecContext::new()).unwrap();
+                let total: i64 = out
+                    .iter()
+                    .map(|r| match r[1] {
+                        Value::Int(n) => n,
+                        ref v => panic!("count is {v:?}"),
+                    })
+                    .sum();
+                assert_eq!(total, 2 * out.len() as i64, "legs read different versions");
+            }
+        });
     }
 
     #[test]

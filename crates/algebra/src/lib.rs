@@ -29,6 +29,6 @@ pub mod plan;
 pub mod rules;
 
 pub use error::{AlgebraError, Result};
-pub use exec::execute;
+pub use exec::{execute, select};
 pub use optimizer::{optimize, Optimizer};
 pub use plan::{BaseShape, Plan, PlanBlock};

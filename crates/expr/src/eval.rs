@@ -270,16 +270,6 @@ impl Conjunction {
         Some(Conjunction { terms })
     }
 
-    /// Number of flattened comparisons.
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Never true: a compiled conjunction holds at least one comparison.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
-
     /// Check a pair of rows, stopping at the first false term.
     #[inline]
     pub fn eval(&self, b: &[Value], r: &[Value]) -> bool {

@@ -5,7 +5,7 @@ use crate::compile::{compile, CompiledQuery};
 use crate::error::Result;
 use crate::parser::parse;
 use crate::prepare::PreparedStatement;
-use mdj_algebra::{execute, explain::explain, optimize, Plan};
+use mdj_algebra::{execute, explain::explain, optimize, select, Plan};
 use mdj_core::ExecContext;
 use mdj_storage::{Catalog, Relation, Value};
 
@@ -140,19 +140,7 @@ impl SqlEngine {
     /// Apply HAVING, the select-list projection, ORDER BY, and LIMIT.
     fn present(&self, mut out: Relation, compiled: &CompiledQuery) -> Result<Relation> {
         if let Some(having) = &compiled.having {
-            let bound = having
-                .bind(None, Some(out.schema()))
-                .map_err(mdj_algebra::AlgebraError::from)?;
-            let mut kept = Relation::empty(out.schema().clone());
-            for row in out.iter() {
-                if bound
-                    .eval_bool(&[], row.values())
-                    .map_err(mdj_algebra::AlgebraError::from)?
-                {
-                    kept.push_unchecked(row.clone());
-                }
-            }
-            out = kept;
+            out = select(&out, having)?;
         }
         let names: Vec<&str> = compiled.output_cols.iter().map(String::as_str).collect();
         let mut out = out
