@@ -203,15 +203,28 @@ pub(crate) fn md_join_morsel_opts(
     }
 }
 
-/// Detail-side execution: morsels over `R`, per-worker full-`B` states, and a
-/// cooperative merge at the end. One logical scan of `R` is recorded.
+/// A computed morsel's matches: `(base row, slot)` pairs and the slots'
+/// aggregate input values.
+type Matches = (Vec<(usize, usize)>, Vec<Value>);
+
+/// One worker's seeded run of morsels and the full-`B` partial states they
+/// fold into. Whoever computes a morsel (its owner or a thief), the deltas
+/// apply in morsel order: a delta that arrives early waits in `pending`.
+struct Segment {
+    states: States,
+    /// Id of the next morsel to apply.
+    next: usize,
+    pending: std::collections::BTreeMap<usize, Matches>,
+}
+
+/// Detail-side execution: morsels over `R`, full-`B` partial states per
+/// segment, and a merge at the end. One logical scan of `R` is recorded.
 ///
-/// The merge uses a shared pool: each finished worker pushes its states, then
-/// — under the same lock — checks whether two state sets are available; if so
-/// it takes both, merges them outside the lock, and pushes the result back.
-/// Every push is paired with that check, so exactly one state set survives,
-/// and merging is spread over the workers that finish first instead of
-/// serializing on the main thread.
+/// Work stealing decides which worker computes a morsel, but not which
+/// states it folds into or in what order: each seeded queue run is a
+/// segment with its own states, its morsels apply in morsel order, and the
+/// segments merge in segment order. The result therefore does not depend on
+/// scheduling, so float aggregates are bit-identical from run to run.
 fn morsel_detail(
     b: &Relation,
     r: &Relation,
@@ -242,8 +255,31 @@ fn morsel_detail(
         .into_iter()
         .enumerate()
         .collect();
+    let n_tasks = tasks.len();
     let (queues, stealers) = seed_queues(tasks, threads);
-    let pool: Mutex<Vec<States>> = Mutex::new(Vec::with_capacity(threads));
+    // Segment k holds the morsels `seed_queues` gave worker k: a contiguous
+    // id run starting at `firsts[k]`.
+    let firsts: Vec<usize> = (0..threads)
+        .map(|k| k * (n_tasks / threads) + k.min(n_tasks % threads))
+        .collect();
+    // Every segment keeps state for all of B: charge the full footprint per
+    // segment, held until the merged result is built.
+    let _state_charges = (0..threads)
+        .map(|_| MemCharge::try_new(ctx, governor::state_bytes(b.len(), bound.len())))
+        .collect::<Result<Vec<_>>>()?;
+    let segments: Vec<Mutex<Segment>> = firsts
+        .iter()
+        .map(|&first| {
+            Mutex::new(Segment {
+                states: b
+                    .iter()
+                    .map(|_| bound.iter().map(|ba| ba.agg.init()).collect())
+                    .collect(),
+                next: first,
+                pending: std::collections::BTreeMap::new(),
+            })
+        })
+        .collect();
 
     // One morsel's pure delta: each matched tuple deposits its aggregate
     // input values once (`n_aggs` values per slot), and `pairs` records which
@@ -306,15 +342,8 @@ fn morsel_detail(
         Ok((pairs, tuple_vals, false))
     };
 
-    let worker = |me: usize, own: Worker<(usize, Range<usize>)>| -> Result<()> {
-        // Every detail-side worker keeps state for all of B: charge the full
-        // footprint per worker (released when the worker's states merge away).
-        let _state_charge = MemCharge::try_new(ctx, governor::state_bytes(b.len(), bound.len()))?;
+    let worker = |me: usize, own: Worker<(usize, Range<usize>)>| -> Result<WorkerStats> {
         let mut ws = WorkerStats::new(me);
-        let mut states: States = b
-            .iter()
-            .map(|_| bound.iter().map(|ba| ba.agg.init()).collect())
-            .collect();
         // Holistic aggregate growth is metered per worker against the shared
         // budget (the meter is inert without one).
         let mut meter = GrowthMeter::new(ctx);
@@ -334,45 +363,31 @@ fn morsel_detail(
             let n = (pairs.len() * bound.len()) as u64;
             ctx.record_updates(n);
             ws.updates += n;
-            for &(row_id, slot) in &pairs {
-                for (j, state) in states[row_id].iter_mut().enumerate() {
-                    let v = &tuple_vals[slot * bound.len() + j];
-                    if metered[j] {
-                        let before = state.heap_bytes();
-                        state.update(v)?;
-                        meter.charge(state.heap_bytes().saturating_sub(before))?;
-                    } else {
-                        state.update(v)?;
+            let seg = firsts.partition_point(|&first| first <= id) - 1;
+            let mut guard = segments[seg].lock().unwrap_or_else(PoisonError::into_inner);
+            let segment = &mut *guard;
+            segment.pending.insert(id, (pairs, tuple_vals));
+            while let Some((pairs, tuple_vals)) = segment.pending.remove(&segment.next) {
+                segment.next += 1;
+                for &(row_id, slot) in &pairs {
+                    for (j, state) in segment.states[row_id].iter_mut().enumerate() {
+                        let v = &tuple_vals[slot * bound.len() + j];
+                        if metered[j] {
+                            let before = state.heap_bytes();
+                            state.update(v)?;
+                            meter.charge(state.heap_bytes().saturating_sub(before))?;
+                        } else {
+                            state.update(v)?;
+                        }
                     }
                 }
             }
         }
-        // Cooperative pairwise merge (see function docs for the protocol).
-        let mut mine = Some(states);
-        loop {
-            let mut guard = pool.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(s) = mine.take() {
-                guard.push(s);
-            }
-            if guard.len() >= 2 {
-                let a = guard.pop().ok_or_else(|| {
-                    CoreError::Internal("merge pool empty after len check".into())
-                })?;
-                let bstates = guard.pop().ok_or_else(|| {
-                    CoreError::Internal("merge pool empty after len check".into())
-                })?;
-                drop(guard);
-                mine = Some(merge_states(a, bstates, &mut ws)?);
-            } else {
-                break;
-            }
-        }
-        ctx.record_worker(ws);
-        Ok(())
+        Ok(ws)
     };
 
     ctx.record_scan(r.len() as u64);
-    let results: Vec<Result<()>> = crossbeam::thread::scope(|scope| {
+    let results: Vec<Result<WorkerStats>> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = queues
             .into_iter()
             .enumerate()
@@ -400,13 +415,23 @@ fn morsel_detail(
             panic_message(payload.as_ref())
         ))
     })?;
-    results.into_iter().collect::<Result<Vec<()>>>()?;
+    let mut workers = results.into_iter().collect::<Result<Vec<WorkerStats>>>()?;
 
-    let mut survivors = pool.into_inner().unwrap_or_else(PoisonError::into_inner);
-    debug_assert_eq!(survivors.len(), 1, "merge protocol leaves one state set");
-    let total = survivors
-        .pop()
-        .ok_or_else(|| CoreError::Internal("merge protocol left no surviving state set".into()))?;
+    // Merge the segments in order; the merges are the first worker's.
+    let mut segments = segments.into_iter().map(|m| {
+        m.into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .states
+    });
+    let first = segments
+        .next()
+        .ok_or_else(|| CoreError::Internal("morsel run without segments".into()))?;
+    let total = segments.try_fold(first, |acc, other| {
+        merge_states(acc, other, &mut workers[0])
+    })?;
+    for ws in workers {
+        ctx.record_worker(ws);
+    }
 
     let mut fields = b.schema().fields().to_vec();
     fields.extend(bound.iter().map(|ba| ba.output.clone()));
@@ -555,6 +580,34 @@ mod tests {
                     "threads={threads} morsel={morsel}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn detail_morsel_float_sums_do_not_depend_on_scheduling() {
+        // Float sums round differently in every grouping of their inputs,
+        // so any dependence on which worker ran which morsel shows up here
+        // as a last-bit difference between repeats.
+        let schema = Schema::from_pairs(&[("cust", DataType::Int), ("sale", DataType::Float)]);
+        let r = Relation::from_rows(
+            schema,
+            (0..4000i64)
+                .map(|i| {
+                    Row::from_values(vec![Value::Int(i % 7), Value::Float(0.1 * (i % 97) as f64)])
+                })
+                .collect(),
+        );
+        let b = r.distinct_on(&["cust"]).unwrap();
+        let theta = eq(col_b("cust"), col_r("cust"));
+        let aggs = [
+            AggSpec::on_column("sum", "sale"),
+            AggSpec::on_column("avg", "sale"),
+        ];
+        let ctx = ExecContext::new().with_morsel_size(7);
+        let run = || md_join_morsel(&b, &r, &aggs, &theta, 4, MorselSide::Detail, &ctx).unwrap();
+        let first = run();
+        for _ in 0..20 {
+            assert_eq!(run().rows(), first.rows());
         }
     }
 
