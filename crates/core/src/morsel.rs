@@ -35,9 +35,11 @@ use crossbeam::deque::{Steal, Stealer, Worker};
 use mdj_agg::{AggSpec, AggState};
 use mdj_expr::Expr;
 use mdj_storage::{ColumnarChunk, Relation, Row, Schema, Value, WorkerStats};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Which relation the morsel executor splits into work units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,23 +73,30 @@ fn morsels(n: usize, morsel: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// Per-worker deques, their stealers, and each deque's seeded run of task
+/// positions.
+type Seeded<T> = (Vec<Worker<T>>, Vec<Stealer<T>>, Vec<Range<usize>>);
+
 /// Build one deque per worker and seed each with a contiguous run of tasks
 /// (contiguity keeps a worker's own morsels adjacent in memory; stealing only
 /// breaks locality when the load is actually imbalanced).
-fn seed_queues<T>(tasks: Vec<T>, threads: usize) -> (Vec<Worker<T>>, Vec<Stealer<T>>) {
+fn seed_queues<T>(tasks: Vec<T>, threads: usize) -> Seeded<T> {
     let queues: Vec<Worker<T>> = (0..threads).map(|_| Worker::new_fifo()).collect();
     let stealers: Vec<Stealer<T>> = queues.iter().map(Worker::stealer).collect();
     let n = tasks.len();
     let base = n / threads;
     let extra = n % threads;
+    let mut runs = Vec::with_capacity(threads);
     let mut it = tasks.into_iter();
     for (i, q) in queues.iter().enumerate() {
+        let start = runs.last().map_or(0, |run: &Range<usize>| run.end);
         let take = base + usize::from(i < extra);
         for task in it.by_ref().take(take) {
             q.push(task);
         }
+        runs.push(start..start + take);
     }
-    (queues, stealers)
+    (queues, stealers, runs)
 }
 
 /// Pop the next task: own queue first, then steal round-robin from the other
@@ -209,12 +218,43 @@ type Matches = (Vec<(usize, usize)>, Vec<Value>);
 
 /// One worker's seeded run of morsels and the full-`B` partial states they
 /// fold into. Whoever computes a morsel (its owner or a thief), the deltas
-/// apply in morsel order: a delta that arrives early waits in `pending`.
+/// apply in morsel order: a delta that arrives early waits in `pending`,
+/// its bytes charged to the query's budget until it applies.
 struct Segment {
     states: States,
     /// Id of the next morsel to apply.
     next: usize,
-    pending: std::collections::BTreeMap<usize, Matches>,
+    /// One past the segment's last morsel id.
+    end: usize,
+    pending: BTreeMap<usize, (Matches, MemCharge)>,
+}
+
+/// A segment behind its lock, with the condition variable its waiting
+/// thieves sleep on.
+type SharedSegment = (Mutex<Segment>, Condvar);
+
+/// Held by each detail-side worker. If the worker stops early (an error or
+/// a panic), the morsel it holds never applies, so dropping the guard sets
+/// `aborted` and wakes every waiting thief instead of leaving it waiting
+/// for that morsel's turn.
+struct AbortOnExit<'a> {
+    aborted: &'a AtomicBool,
+    segments: &'a [SharedSegment],
+    finished: bool,
+}
+
+impl Drop for AbortOnExit<'_> {
+    fn drop(&mut self) {
+        if self.finished {
+            return;
+        }
+        self.aborted.store(true, AtomicOrdering::SeqCst);
+        for (lock, turn) in self.segments {
+            // Taking the lock orders the store before any waiter's check.
+            let _guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            turn.notify_all();
+        }
+    }
 }
 
 /// Detail-side execution: morsels over `R`, full-`B` partial states per
@@ -225,6 +265,12 @@ struct Segment {
 /// segment with its own states, its morsels apply in morsel order, and the
 /// segments merge in segment order. The result therefore does not depend on
 /// scheduling, so float aggregates are bit-identical from run to run.
+///
+/// A thief that computes a morsel ahead of its segment's turn buffers the
+/// delta in `pending`, charged to the budget. When the budget cannot hold
+/// it, the thief waits for the turn instead, so buffered deltas never exceed
+/// the budget. Waiting cannot deadlock: queues hand out morsels in id order,
+/// so a segment's next morsel is always held by a worker that can apply it.
 fn morsel_detail(
     b: &Relation,
     r: &Relation,
@@ -255,31 +301,28 @@ fn morsel_detail(
         .into_iter()
         .enumerate()
         .collect();
-    let n_tasks = tasks.len();
-    let (queues, stealers) = seed_queues(tasks, threads);
-    // Segment k holds the morsels `seed_queues` gave worker k: a contiguous
-    // id run starting at `firsts[k]`.
-    let firsts: Vec<usize> = (0..threads)
-        .map(|k| k * (n_tasks / threads) + k.min(n_tasks % threads))
-        .collect();
+    let (queues, stealers, runs) = seed_queues(tasks, threads);
     // Every segment keeps state for all of B: charge the full footprint per
     // segment, held until the merged result is built.
     let _state_charges = (0..threads)
         .map(|_| MemCharge::try_new(ctx, governor::state_bytes(b.len(), bound.len())))
         .collect::<Result<Vec<_>>>()?;
-    let segments: Vec<Mutex<Segment>> = firsts
+    let segments: Vec<SharedSegment> = runs
         .iter()
-        .map(|&first| {
-            Mutex::new(Segment {
+        .map(|run| {
+            let segment = Segment {
                 states: b
                     .iter()
                     .map(|_| bound.iter().map(|ba| ba.agg.init()).collect())
                     .collect(),
-                next: first,
-                pending: std::collections::BTreeMap::new(),
-            })
+                next: run.start,
+                end: run.end,
+                pending: BTreeMap::new(),
+            };
+            (Mutex::new(segment), Condvar::new())
         })
         .collect();
+    let aborted = AtomicBool::new(false);
 
     // One morsel's pure delta: each matched tuple deposits its aggregate
     // input values once (`n_aggs` values per slot), and `pairs` records which
@@ -343,12 +386,32 @@ fn morsel_detail(
     };
 
     let worker = |me: usize, own: Worker<(usize, Range<usize>)>| -> Result<WorkerStats> {
+        let mut exit = AbortOnExit {
+            aborted: &aborted,
+            segments: &segments,
+            finished: false,
+        };
         let mut ws = WorkerStats::new(me);
         // Holistic aggregate growth is metered per worker against the shared
         // budget (the meter is inert without one).
         let mut meter = GrowthMeter::new(ctx);
         let metered = metered_flags(&bound, &meter);
-        while let Some((id, range)) = next_task(&own, &stealers, me, &mut ws) {
+        let mut apply = |states: &mut States, (pairs, tuple_vals): Matches| -> Result<()> {
+            for &(row_id, slot) in &pairs {
+                for (j, state) in states[row_id].iter_mut().enumerate() {
+                    let v = &tuple_vals[slot * bound.len() + j];
+                    if metered[j] {
+                        let before = state.heap_bytes();
+                        state.update(v)?;
+                        meter.charge(state.heap_bytes().saturating_sub(before))?;
+                    } else {
+                        state.update(v)?;
+                    }
+                }
+            }
+            Ok(())
+        };
+        'tasks: while let Some((id, range)) = next_task(&own, &stealers, me, &mut ws) {
             ctx.check_interrupt()?;
             ws.morsels += 1;
             ws.tuples += range.len() as u64;
@@ -363,26 +426,31 @@ fn morsel_detail(
             let n = (pairs.len() * bound.len()) as u64;
             ctx.record_updates(n);
             ws.updates += n;
-            let seg = firsts.partition_point(|&first| first <= id) - 1;
-            let mut guard = segments[seg].lock().unwrap_or_else(PoisonError::into_inner);
-            let segment = &mut *guard;
-            segment.pending.insert(id, (pairs, tuple_vals));
-            while let Some((pairs, tuple_vals)) = segment.pending.remove(&segment.next) {
-                segment.next += 1;
-                for &(row_id, slot) in &pairs {
-                    for (j, state) in segment.states[row_id].iter_mut().enumerate() {
-                        let v = &tuple_vals[slot * bound.len() + j];
-                        if metered[j] {
-                            let before = state.heap_bytes();
-                            state.update(v)?;
-                            meter.charge(state.heap_bytes().saturating_sub(before))?;
-                        } else {
-                            state.update(v)?;
-                        }
-                    }
+            let (lock, turn) = &segments[runs.partition_point(|run| run.end <= id)];
+            let bytes = std::mem::size_of_val(pairs.as_slice())
+                + std::mem::size_of_val(tuple_vals.as_slice());
+            let mut guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            while guard.next != id {
+                if let Ok(charge) = MemCharge::try_new(ctx, bytes) {
+                    guard.pending.insert(id, ((pairs, tuple_vals), charge));
+                    continue 'tasks;
                 }
+                if aborted.load(AtomicOrdering::SeqCst) {
+                    // The worker that stopped reports the error.
+                    break 'tasks;
+                }
+                guard = turn.wait(guard).unwrap_or_else(PoisonError::into_inner);
             }
+            let segment = &mut *guard;
+            apply(&mut segment.states, (pairs, tuple_vals))?;
+            segment.next += 1;
+            while let Some((matches, _charge)) = segment.pending.remove(&segment.next) {
+                apply(&mut segment.states, matches)?;
+                segment.next += 1;
+            }
+            turn.notify_all();
         }
+        exit.finished = true;
         Ok(ws)
     };
 
@@ -418,17 +486,23 @@ fn morsel_detail(
     let mut workers = results.into_iter().collect::<Result<Vec<WorkerStats>>>()?;
 
     // Merge the segments in order; the merges are the first worker's.
-    let mut segments = segments.into_iter().map(|m| {
-        m.into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .states
-    });
-    let first = segments
-        .next()
-        .ok_or_else(|| CoreError::Internal("morsel run without segments".into()))?;
-    let total = segments.try_fold(first, |acc, other| {
-        merge_states(acc, other, &mut workers[0])
-    })?;
+    let mut total: Option<States> = None;
+    for (lock, _) in segments {
+        let segment = lock.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if segment.next != segment.end || !segment.pending.is_empty() {
+            return Err(CoreError::Internal(format!(
+                "morsel segment stopped at {} of {} with {} deltas unapplied",
+                segment.next,
+                segment.end,
+                segment.pending.len()
+            )));
+        }
+        total = Some(match total {
+            None => segment.states,
+            Some(acc) => merge_states(acc, segment.states, &mut workers[0])?,
+        });
+    }
+    let total = total.ok_or_else(|| CoreError::Internal("morsel run without segments".into()))?;
     for ws in workers {
         ctx.record_worker(ws);
     }
@@ -463,7 +537,7 @@ fn morsel_base(
         .into_iter()
         .enumerate()
         .collect();
-    let (queues, stealers) = seed_queues(tasks, threads);
+    let (queues, stealers, _) = seed_queues(tasks, threads);
     let slots: Mutex<Vec<(usize, Vec<Row>)>> = Mutex::new(Vec::new());
 
     let worker = |me: usize, own: Worker<(usize, Range<usize>)>| -> Result<()> {
@@ -581,6 +655,71 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A detail-side run whose first morsel sleeps (and then panics, if
+    /// `panics` is set), so the other worker steals and computes the rest
+    /// of that segment ahead of its turn. Returns the serial answer, the
+    /// run's result and the budget tracker's peak.
+    #[cfg(feature = "fault-injection")]
+    fn stalled_segment_run(budget: usize, panics: u64) -> (Relation, Result<Relation>, u64) {
+        let r = sales(4000);
+        let b = r.distinct_on(&["cust"]).unwrap();
+        let theta = eq(col_b("cust"), col_r("cust"));
+        let aggs = [AggSpec::on_column("sum", "sale")];
+        let serial = md_join_serial(&b, &r, &aggs, &theta, &ExecContext::new()).unwrap();
+        let fault = crate::fault::FaultInjector::new(7)
+            .period(1)
+            .slow_morsels(1, std::time::Duration::from_millis(300))
+            .panics(panics);
+        let ctx = ExecContext::new()
+            .with_morsel_size(50)
+            .with_morsel_retries(0)
+            .with_budget_bytes(budget)
+            .with_fault_injector(Arc::new(fault));
+        let out = md_join_morsel(&b, &r, &aggs, &theta, 2, MorselSide::Detail, &ctx);
+        (serial, out, ctx.memory().unwrap().peak())
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn early_deltas_are_charged_to_the_budget() {
+        let (serial, out, peak) = stalled_segment_run(1 << 30, 0);
+        assert_eq!(out.unwrap().rows(), serial.rows());
+        // 13 base rows, 80 morsels of 50 tuples that match one row each:
+        // the stalled segment's 39 later deltas pend at once.
+        let states = 2 * governor::state_bytes(13, 1);
+        let delta = 50 * (std::mem::size_of::<(usize, usize)>() + std::mem::size_of::<Value>());
+        let pending = (states + 39 * delta) as u64;
+        assert!(
+            peak >= pending,
+            "peak {peak} < {pending}: pending deltas were not charged"
+        );
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn early_deltas_wait_for_their_turn_when_the_budget_is_full() {
+        // Room for the states, the index and a couple of deltas only: the
+        // thief waits for the stalled owner instead of failing the query.
+        let (serial, out, _) = stalled_segment_run(12 * 1024, 0);
+        assert_eq!(out.unwrap().rows(), serial.rows());
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_failed_owner_wakes_the_waiting_thief() {
+        // The stalled morsel panics after the thief has started waiting for
+        // its turn: the run must report the panic, not hang.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(stalled_segment_run(12 * 1024, 1).1));
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the waiting thief never woke");
+        assert!(
+            matches!(out, Err(CoreError::MorselPanicked { .. })),
+            "{out:?}"
+        );
     }
 
     #[test]
