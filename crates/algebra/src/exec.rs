@@ -4,7 +4,6 @@ use crate::error::{AlgebraError, Result};
 use crate::plan::{BaseShape, Plan};
 use mdj_core::basevalues;
 use mdj_core::{Block, ExecContext, ExecStrategy, MdJoin};
-use mdj_expr::Predicate;
 use mdj_storage::{Catalog, Relation, Row};
 
 /// Execute a logical plan against a catalog.
@@ -15,23 +14,53 @@ use mdj_storage::{Catalog, Relation, Row};
 /// Every distinct `Table` and `Select` subplan is evaluated once per call:
 /// `MD(γ(σₚ T), σₚ T)`, generalized MD-joins and Example 2.5 chains scan
 /// `σₚ T` once, and every leg naming `T` reads the same catalog snapshot
-/// even when an ingest lands mid-query.
+/// even when an ingest lands mid-query. A result is held only while later
+/// occurrences of its subplan remain.
 pub fn execute(plan: &Plan, catalog: &Catalog, ctx: &ExecContext) -> Result<Relation> {
+    let mut scans = Vec::new();
+    count_scans(plan, &mut scans);
     Executor {
         catalog,
         ctx,
-        scans: Vec::new(),
+        scans,
     }
     .run(plan)
+}
+
+/// Count the occurrences of each `Table` and `Select` subplan that will
+/// run. A repeat reuses the first occurrence's result, so its inputs never
+/// run and are not counted.
+fn count_scans<'p>(plan: &'p Plan, scans: &mut Vec<Scan<'p>>) {
+    if matches!(plan, Plan::Table(_) | Plan::Select { .. }) {
+        if let Some(scan) = scans.iter_mut().find(|s| s.plan == plan) {
+            scan.uses += 1;
+            return;
+        }
+        scans.push(Scan {
+            plan,
+            uses: 1,
+            result: None,
+        });
+    }
+    for input in plan.inputs() {
+        count_scans(input, scans);
+    }
+}
+
+/// A `Table` or `Select` subplan, matched by structural `==`.
+struct Scan<'p> {
+    plan: &'p Plan,
+    /// Occurrences in the plan not yet executed.
+    uses: usize,
+    /// The result, held while `uses` is nonzero.
+    result: Option<Relation>,
 }
 
 /// One top-level [`execute`] call.
 struct Executor<'p, 'c> {
     catalog: &'c Catalog,
     ctx: &'c ExecContext,
-    /// The `Table`/`Select` subplans evaluated so far, matched by structural
-    /// `==`. Holding a result costs a refcount: relations share their rows.
-    scans: Vec<(&'p Plan, Relation)>,
+    scans: Vec<Scan<'p>>,
 }
 
 impl<'p> Executor<'p, '_> {
@@ -157,17 +186,25 @@ impl<'p> Executor<'p, '_> {
         }
     }
 
-    /// The memoized evaluation of a `Table` or `Select` node.
+    /// The memoized evaluation of a `Table` or `Select` node; the last
+    /// occurrence takes the held result.
     fn scan(
         &mut self,
         plan: &'p Plan,
         eval: impl FnOnce(&mut Self) -> Result<Relation>,
     ) -> Result<Relation> {
-        if let Some((_, rel)) = self.scans.iter().find(|(p, _)| *p == plan) {
-            return Ok(rel.clone());
+        let Some(i) = self.scans.iter().position(|s| s.plan == plan) else {
+            return eval(self);
+        };
+        let rel = match self.scans[i].result.take() {
+            Some(rel) => rel,
+            None => eval(self)?,
+        };
+        let scan = &mut self.scans[i];
+        scan.uses = scan.uses.saturating_sub(1);
+        if scan.uses > 0 {
+            scan.result = Some(rel.clone());
         }
-        let rel = eval(self)?;
-        self.scans.push((plan, rel.clone()));
         Ok(rel)
     }
 
@@ -319,12 +356,11 @@ impl<'p> Executor<'p, '_> {
     }
 }
 
-/// σ over one relation, on a [`Predicate`]: a conjunction of leaf
-/// comparisons is checked flattened, any other shape by the tree walk.
-/// σ predicates are usually written over the detail side, but predicates
-/// produced for *base* plans (Observation 4.1 inputs) use base-side
-/// references; the input binds as whichever side the predicate reads.
-/// [`mdj_naive::ops::select`] remains the reference evaluator.
+/// σ over one relation. σ predicates are usually written over the detail
+/// side, but predicates produced for *base* plans (Observation 4.1 inputs)
+/// use base-side references; the input binds as whichever side the
+/// predicate reads. [`mdj_naive::ops::select`] remains the reference
+/// evaluator.
 pub fn select(rel: &Relation, pred: &mdj_expr::Expr) -> Result<Relation> {
     let on_base = pred.uses_side(mdj_expr::Side::Base);
     let schema = Some(rel.schema());
@@ -333,7 +369,6 @@ pub fn select(rel: &Relation, pred: &mdj_expr::Expr) -> Result<Relation> {
     } else {
         pred.bind(None, schema)?
     };
-    let pred = Predicate::new(bound);
     let mut rows = Vec::new();
     for row in rel.iter() {
         let (b, r) = if on_base {
@@ -341,7 +376,7 @@ pub fn select(rel: &Relation, pred: &mdj_expr::Expr) -> Result<Relation> {
         } else {
             (&[][..], row.values())
         };
-        if pred.eval(b, r)? {
+        if bound.eval_bool(b, r)? {
             rows.push(row.clone());
         }
     }
@@ -645,6 +680,36 @@ mod tests {
         let scan = PagedScan::new(table, engine.buffer_pool().unwrap());
         assert_eq!(scan.materialize(&ctx).unwrap().len(), rel.len());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scan_results_are_released_at_their_last_use() {
+        // Base and detail carry different σ, and each σ feeds two MD-joins.
+        let ny = Plan::table("Sales").select(eq(col_r("state"), lit("NY")));
+        let nj = Plan::table("Sales").select(eq(col_r("state"), lit("NJ")));
+        let md = |base: &Plan, detail: &Plan| {
+            base.clone().group_by_base(&["cust"]).md_join(
+                detail.clone(),
+                vec![AggSpec::count_star()],
+                eq(col_b("cust"), col_r("cust")),
+            )
+        };
+        let plan = Plan::Union(vec![md(&ny, &nj), md(&nj, &ny)]);
+        let mut scans = Vec::new();
+        count_scans(&plan, &mut scans);
+        let uses: Vec<(&Plan, usize)> = scans.iter().map(|s| (s.plan, s.uses)).collect();
+        // Sales runs once under each σ; the repeats reuse the σ results.
+        let sales = Plan::table("Sales");
+        assert_eq!(uses, [(&ny, 2), (&sales, 2), (&nj, 2)]);
+        let (cat, ctx) = (catalog(), ExecContext::new());
+        let mut ex = Executor {
+            catalog: &cat,
+            ctx: &ctx,
+            scans,
+        };
+        let out = ex.run(&plan).unwrap();
+        assert_eq!(out.len(), 2);
+        assert!(ex.scans.iter().all(|s| s.uses == 0 && s.result.is_none()));
     }
 
     #[test]

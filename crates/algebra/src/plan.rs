@@ -310,21 +310,24 @@ impl Plan {
     /// Visit every node (pre-order).
     pub fn visit(&self, f: &mut impl FnMut(&Plan)) {
         f(self);
+        for input in self.inputs() {
+            input.visit(f);
+        }
+    }
+
+    /// The node's direct inputs, in evaluation order.
+    pub fn inputs(&self) -> Vec<&Plan> {
         match self {
             Plan::Select { input, .. }
             | Plan::Project { input, .. }
             | Plan::Base { input, .. }
-            | Plan::Parallel { input, .. } => input.visit(f),
-            Plan::Union(parts) => parts.iter().for_each(|p| p.visit(f)),
+            | Plan::Parallel { input, .. } => vec![input],
+            Plan::Union(parts) => parts.iter().collect(),
             Plan::MdJoin { base, detail, .. } | Plan::GenMdJoin { base, detail, .. } => {
-                base.visit(f);
-                detail.visit(f);
+                vec![base, detail]
             }
-            Plan::Join { left, right, .. } => {
-                left.visit(f);
-                right.visit(f);
-            }
-            Plan::Table(_) | Plan::Inline(_) => {}
+            Plan::Join { left, right, .. } => vec![left, right],
+            Plan::Table(_) | Plan::Inline(_) => Vec::new(),
         }
     }
 }
