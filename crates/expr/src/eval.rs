@@ -170,11 +170,15 @@ impl BoundExpr {
                 // first conjunct (the equality) usually fails.
                 BinOp::And => Ok(lhs.eval_bool(b, r)? && rhs.eval_bool(b, r)?),
                 BinOp::Or => Ok(lhs.eval_bool(b, r)? || rhs.eval_bool(b, r)?),
-                op if op.is_comparison() => Ok(compare_bool(
-                    *op,
-                    &*lhs.operand(b, r)?,
-                    &*rhs.operand(b, r)?,
-                )),
+                op if op.is_comparison() => match (lhs.leaf(b, r), rhs.leaf(b, r)) {
+                    // The common σ and θ conjunct compares two leaves in place.
+                    (Some(l), Some(rv)) => Ok(compare_bool(*op, l, rv)),
+                    _ => Ok(compare_bool(
+                        *op,
+                        &*lhs.operand(b, r)?,
+                        &*rhs.operand(b, r)?,
+                    )),
+                },
                 _ => Ok(matches!(self.eval(b, r)?, Value::Bool(true))),
             },
             BoundExpr::Not(e) => Ok(!e.eval_bool(b, r)?),
@@ -185,12 +189,21 @@ impl BoundExpr {
     /// An operand's value: borrowed for a column or literal leaf, computed
     /// for anything else.
     fn operand<'a>(&'a self, b: &'a [Value], r: &'a [Value]) -> Result<Cow<'a, Value>> {
-        Ok(match self {
-            BoundExpr::BCol(i) => Cow::Borrowed(&b[*i]),
-            BoundExpr::RCol(i) => Cow::Borrowed(&r[*i]),
-            BoundExpr::Lit(v) => Cow::Borrowed(v),
-            _ => Cow::Owned(self.eval(b, r)?),
-        })
+        match self.leaf(b, r) {
+            Some(v) => Ok(Cow::Borrowed(v)),
+            None => Ok(Cow::Owned(self.eval(b, r)?)),
+        }
+    }
+
+    /// A column or literal leaf's value; `None` for any other node.
+    #[inline]
+    fn leaf<'a>(&'a self, b: &'a [Value], r: &'a [Value]) -> Option<&'a Value> {
+        match self {
+            BoundExpr::BCol(i) => Some(&b[*i]),
+            BoundExpr::RCol(i) => Some(&r[*i]),
+            BoundExpr::Lit(v) => Some(v),
+            _ => None,
+        }
     }
 
     /// Evaluate with only a detail row (base side unused).
@@ -201,107 +214,6 @@ impl BoundExpr {
     /// Evaluate with only a base row (detail side unused).
     pub fn eval_base(&self, b: &[Value]) -> Result<Value> {
         self.eval(b, &[])
-    }
-}
-
-/// A comparison operand that needs no evaluation: a column of either side
-/// or a literal.
-#[derive(Debug, Clone, PartialEq)]
-enum Leaf {
-    BCol(usize),
-    RCol(usize),
-    Lit(Value),
-}
-
-impl Leaf {
-    fn of(e: &BoundExpr) -> Option<Leaf> {
-        match e {
-            BoundExpr::BCol(i) => Some(Leaf::BCol(*i)),
-            BoundExpr::RCol(i) => Some(Leaf::RCol(*i)),
-            BoundExpr::Lit(v) => Some(Leaf::Lit(v.clone())),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn get<'a>(&'a self, b: &'a [Value], r: &'a [Value]) -> &'a Value {
-        match self {
-            Leaf::BCol(i) => &b[*i],
-            Leaf::RCol(i) => &r[*i],
-            Leaf::Lit(v) => v,
-        }
-    }
-}
-
-/// A conjunction of leaf comparisons `l₁ op₁ r₁ ∧ … ∧ lₙ opₙ rₙ`, flattened
-/// once into `(op, lhs, rhs)` terms. Checking a row is then a loop over
-/// borrowed operands, in the tree walk's left-to-right order, with the same
-/// comparison semantics: a leaf comparison cannot fail, so the answer is
-/// exactly [`BoundExpr::eval_bool`]'s.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Conjunction {
-    terms: Vec<(BinOp, Leaf, Leaf)>,
-}
-
-impl Conjunction {
-    /// Flatten `e` when every conjunct is a comparison of two leaves;
-    /// `None` for any other shape (`Or`, `Not`, arithmetic operands, bare
-    /// literals), which must keep the tree walk.
-    pub fn compile(e: &BoundExpr) -> Option<Conjunction> {
-        fn flatten(e: &BoundExpr, terms: &mut Vec<(BinOp, Leaf, Leaf)>) -> Option<()> {
-            match e {
-                BoundExpr::Binary {
-                    op: BinOp::And,
-                    lhs,
-                    rhs,
-                } => {
-                    flatten(lhs, terms)?;
-                    flatten(rhs, terms)
-                }
-                BoundExpr::Binary { op, lhs, rhs } if op.is_comparison() => {
-                    terms.push((*op, Leaf::of(lhs)?, Leaf::of(rhs)?));
-                    Some(())
-                }
-                _ => None,
-            }
-        }
-        let mut terms = Vec::new();
-        flatten(e, &mut terms)?;
-        Some(Conjunction { terms })
-    }
-
-    /// Check a pair of rows, stopping at the first false term.
-    #[inline]
-    pub fn eval(&self, b: &[Value], r: &[Value]) -> bool {
-        self.terms
-            .iter()
-            .all(|(op, l, rt)| compare_bool(*op, l.get(b, r), rt.get(b, r)))
-    }
-}
-
-/// A bound predicate prepared for per-row checks: the flattened
-/// [`Conjunction`] when the shape allows it, else the tree walk.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Predicate {
-    Conjunction(Conjunction),
-    Tree(BoundExpr),
-}
-
-impl Predicate {
-    pub fn new(bound: BoundExpr) -> Predicate {
-        match Conjunction::compile(&bound) {
-            Some(c) => Predicate::Conjunction(c),
-            None => Predicate::Tree(bound),
-        }
-    }
-
-    /// Same answer as [`BoundExpr::eval_bool`] on the bound expression.
-    #[inline]
-    pub fn eval(&self, b: &[Value], r: &[Value]) -> Result<bool> {
-        match self {
-            Predicate::Conjunction(c) => Ok(c.eval(b, r)),
-            Predicate::Tree(e) => e.eval_bool(b, r),
-        }
     }
 }
 

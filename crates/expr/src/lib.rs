@@ -24,5 +24,5 @@ pub mod vectorized;
 
 pub use ast::{BinOp, ColRef, Expr, Side};
 pub use error::{ExprError, Result};
-pub use eval::{BoundExpr, Conjunction, Predicate};
+pub use eval::BoundExpr;
 pub use vectorized::{eval_batch, BatchVals};
